@@ -16,7 +16,8 @@
 //!   snapshot swaps, batched re-anonymization, LBS probes, per-tick
 //!   invariant verification, and an optional continuous attack leg
 //!   ([`AttackConfig`]) that scores a keyless temporal adversary
-//!   against the receipt stream (see the `pipeline` module docs),
+//!   against the receipt stream (see the `pipeline` module docs); the
+//!   same loop runs over N map shards as [`ShardedPipeline`],
 //! * [`tournament`] — the scenario tournament: every engine × every
 //!   adversary (including the adaptive Bayesian tracker) × every
 //!   behavior mix, with per-cell entropy trajectories

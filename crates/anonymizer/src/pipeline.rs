@@ -42,7 +42,14 @@
 //! (`rcloak attack`). The attack leg is observational: it never touches
 //! the receipt stream, so digests are unchanged whether it runs or not.
 //!
+//! The same tick runs over N map shards when the pipeline is built
+//! through [`ShardedPipeline`]: each shard holds its own service, the
+//! owners driving inside its partition and a snapshot masked to it, and
+//! every leg above runs once over all shards (see [`crate::shard`]).
+//! One shard is the identity partition: no mask, no handoff.
+//!
 //! [`tick`]: ContinuousPipeline::tick
+//! [`ShardedPipeline`]: crate::ShardedPipeline
 //!
 //! # Example
 //!
@@ -73,7 +80,8 @@
 use crate::config::AnonymizerConfig;
 use crate::deanonymizer::Deanonymizer;
 use crate::fault::{FaultInjector, FaultPlan, FaultPolicy, FaultyStore, TickHealth};
-use crate::service::{AnonymizeRequest, AnonymizerService, Engine};
+use crate::service::{AnonymizeReceipt, AnonymizeRequest, AnonymizerService, Engine};
+use crate::shard::Partition;
 use cloak::attack::temporal::{
     AdversaryConfig, AdversaryMode, AttackObservation, AttackSummary, Observation, ReplayProbe,
     TemporalAdversary,
@@ -88,7 +96,6 @@ use mobisim::{CarId, OccupancySnapshot, SimConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use roadnet::RoadNetwork;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The requester identity the pipeline registers with every tracked
@@ -276,11 +283,18 @@ pub struct TickReport {
     /// Receipts that passed the full invariant check (equals `issued`
     /// when [`PipelineConfig::verify`] is on).
     pub verified: usize,
+    /// Owners handed across a partition boundary at the start of this
+    /// tick, before any request was issued (always 0 with one shard).
+    pub handoffs: usize,
     /// Order-sensitive FNV digest over (owner, payload) of every issued
-    /// receipt — equal digests mean bit-identical receipt streams.
+    /// receipt — equal digests mean bit-identical receipt streams. With
+    /// N shards it is the FNV fold of [`TickReport::shard_digests`] in
+    /// shard order; with one shard it is that shard's digest.
     pub digest: u64,
+    /// Each shard's receipt-stream digest, in shard order.
+    pub shard_digests: Vec<u64>,
     /// Region-quality rollup over this tick's receipts, measured against
-    /// the snapshot they were issued under.
+    /// the snapshot of the shard that issued each.
     pub quality: QualitySummary,
     /// LBS candidate-set / expansion-cost rollup for the probed regions.
     pub lbs: QueryStats,
@@ -298,19 +312,20 @@ pub struct TickReport {
 impl TickReport {
     /// Header line matching [`TickReport::csv_row`].
     pub const CSV_HEADER: &'static str = "tick,clock_s,snapshot_refreshed,issued,failed,verified,\
-         digest,mean_region_segments,mean_users,mean_rel_anonymity,min_rel_anonymity,\
+         handoffs,digest,mean_region_segments,mean_users,mean_rel_anonymity,min_rel_anonymity,\
          mean_length_m,lbs_queries,lbs_mean_candidates,lbs_mean_visited";
 
     /// The report as one CSV row (no trailing newline).
     pub fn csv_row(&self) -> String {
         format!(
-            "{},{:.1},{},{},{},{},{:016x},{:.2},{:.2},{:.3},{:.3},{:.1},{},{:.2},{:.2}",
+            "{},{:.1},{},{},{},{},{},{:016x},{:.2},{:.2},{:.3},{:.3},{:.1},{},{:.2},{:.2}",
             self.tick,
             self.clock,
             self.snapshot_refreshed,
             self.issued,
             self.failed,
             self.verified,
+            self.handoffs,
             self.digest,
             self.quality.mean_segments(),
             self.quality.mean_users(),
@@ -364,24 +379,27 @@ impl TickReport {
     }
 }
 
-/// Drives a simulation, a shared [`AnonymizerService`] and the LBS query
-/// layer as one continuously-running system. See the module docs for the
-/// invariants each tick enforces.
+/// Drives a simulation, the anonymizer and the LBS query layer as one
+/// continuously-running system, over one or more map shards. See the
+/// module docs for the invariants each tick enforces.
 pub struct ContinuousPipeline {
     sim: Simulation,
-    service: Arc<AnonymizerService>,
+    /// The map partition routing owners to shards; `None` for the
+    /// identity partition of a one-shard pipeline.
+    partition: Option<Partition>,
+    shards: Vec<Shard>,
+    /// The latest city-wide capture the shard snapshots are masked
+    /// from. Left empty by the identity partition, whose one shard
+    /// serves the capture itself.
+    city: OccupancySnapshot,
+    /// One deanonymizer serves every shard: all shards share one network
+    /// and one engine.
     dean: Deanonymizer,
     profile: PrivacyProfile,
     pois: Option<PoiStore>,
     cfg: PipelineConfig,
-    tracked: Vec<(CarId, String)>,
-    /// Persistent request buffer: owner strings are cloned once at
-    /// construction; each tick only rewrites segment and seed in place.
-    requests: Vec<AnonymizeRequest>,
-    registered: HashSet<usize>,
-    /// Snapshot buffer reclaimed from the previous cadence swap
-    /// (`Arc::try_unwrap`), recaptured into instead of reallocating.
-    spare_snapshot: Option<OccupancySnapshot>,
+    /// Every tracked owner, indexed by global owner index.
+    tracked: Vec<Tracked>,
     /// Scratch for per-receipt verification peels.
     verify_scratch: CloakScratch,
     /// Scratch for the per-tick LBS query loop.
@@ -396,7 +414,49 @@ pub struct ContinuousPipeline {
     ///
     /// [`tick`]: ContinuousPipeline::tick
     crashed: bool,
+    handoffs_total: u64,
     tick: u64,
+}
+
+/// One partition's slice of the system.
+struct Shard {
+    service: Arc<AnonymizerService>,
+    /// Global indices of the owners this shard holds, ascending, so
+    /// every shard issues its batch in global owner order.
+    owners: Vec<usize>,
+    /// Request buffer parallel to `owners`: owner strings are built once
+    /// and move with their owner; each tick only rewrites segment and
+    /// seed in place.
+    requests: Vec<AnonymizeRequest>,
+    /// Snapshot buffer reclaimed from the previous cadence swap
+    /// (`Arc::try_unwrap`), recaptured into instead of reallocating.
+    spare_snapshot: Option<OccupancySnapshot>,
+}
+
+impl Shard {
+    /// Fills the buffer reclaimed from the previous swap and swaps it in
+    /// as the shard's snapshot. The previous snapshot is reclaimed in
+    /// turn when no in-flight reader still holds it, so the steady-state
+    /// cadence loop rotates two buffers per shard instead of allocating.
+    fn refresh(&mut self, fill: impl FnOnce(&mut OccupancySnapshot)) {
+        let mut snapshot = self
+            .spare_snapshot
+            .take()
+            .unwrap_or_else(|| OccupancySnapshot::from_counts(Vec::new()));
+        fill(&mut snapshot);
+        let previous = self.service.swap_snapshot(snapshot);
+        self.spare_snapshot = Arc::try_unwrap(previous).ok();
+    }
+}
+
+/// One tracked owner.
+struct Tracked {
+    car: CarId,
+    /// The shard holding the owner's chain, record and request.
+    shard: usize,
+    /// Whether the auditor grant is registered; the grant migrates with
+    /// the owner's record.
+    registered: bool,
 }
 
 /// State of the pipeline's attack leg: one adversary per observed
@@ -426,6 +486,8 @@ struct AttackLeg {
     /// serves every owner of every tick).
     nre_scratch: ExpansionScratch,
 }
+
+type AnonymizeResult = Result<AnonymizeReceipt, CloakError>;
 
 impl ContinuousPipeline {
     /// Builds the pipeline: starts the traffic simulation, creates the
@@ -469,7 +531,25 @@ impl ContinuousPipeline {
         cfg: PipelineConfig,
         store: Arc<dyn ChainStore>,
     ) -> Result<Self, JournalError> {
+        Self::sharded(net, sim_cfg, anon_cfg, cfg, 1, store)
+    }
+
+    /// Builds the pipeline over `shards` map partitions, all journaling
+    /// through `store` (see [`crate::ShardedPipeline::with_store`]).
+    /// One shard is the identity partition.
+    pub(crate) fn sharded(
+        net: RoadNetwork,
+        sim_cfg: SimConfig,
+        anon_cfg: AnonymizerConfig,
+        cfg: PipelineConfig,
+        shards: usize,
+        store: Arc<dyn ChainStore>,
+    ) -> Result<Self, JournalError> {
         let top_simulated_speed = sim_cfg.speed_range.1;
+        let partition = (shards > 1)
+            .then(|| Partition::grow(&net, shards, cfg.seed ^ 0x5aa5_c17e))
+            .filter(|partition| partition.shards() > 1);
+        let shard_count = partition.as_ref().map_or(1, Partition::shards);
         let sim = Simulation::new(net.clone(), sim_cfg);
         let injector = cfg
             .fault
@@ -479,8 +559,50 @@ impl ContinuousPipeline {
             Some(inj) => Arc::new(FaultyStore::new(store, Arc::clone(inj))),
             None => store,
         };
-        let service = AnonymizerService::with_store(net, anon_cfg, store)?;
-        service.update_snapshot(OccupancySnapshot::capture(&sim));
+        // Every shard shares one graph index: the first `share_index`
+        // builds it, and the last shard takes `net` itself, so a
+        // one-shard pipeline builds no index it may never use.
+        let mut services = (1..shard_count)
+            .map(|_| {
+                AnonymizerService::with_store(
+                    net.share_index(),
+                    anon_cfg.clone(),
+                    Arc::clone(&store),
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        services.push(AnonymizerService::with_store(net, anon_cfg, store)?);
+        let mut shards: Vec<Shard> = services
+            .into_iter()
+            .map(|service| Shard {
+                service: Arc::new(service),
+                owners: Vec::new(),
+                requests: Vec::new(),
+                spare_snapshot: None,
+            })
+            .collect();
+        let mut tracked = Vec::new();
+        for i in 0..cfg.tracked_owners.min(sim.cars().len()) {
+            let car = CarId(i as u32);
+            let shard = partition.as_ref().map_or(0, |partition| {
+                partition.shard_of(
+                    sim.car_segment(car)
+                        .expect("tracked cars exist for the simulation's lifetime"),
+                )
+            });
+            shards[shard].owners.push(i);
+            shards[shard].requests.push(AnonymizeRequest::new(
+                format!("car-{i}"),
+                roadnet::SegmentId(0),
+                0,
+            ));
+            tracked.push(Tracked {
+                car,
+                shard,
+                registered: false,
+            });
+        }
+        let service = Arc::clone(&shards[0].service);
         let dean = Deanonymizer::new(
             service.network_arc(),
             Engine::build(service.network(), service.config().engine),
@@ -490,13 +612,6 @@ impl ContinuousPipeline {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x1b5_0001);
             PoiStore::generate(service.network(), cfg.poi_count.max(1), &mut rng)
         });
-        let tracked: Vec<(CarId, String)> = (0..cfg.tracked_owners.min(sim.cars().len()))
-            .map(|i| (CarId(i as u32), format!("car-{i}")))
-            .collect();
-        let requests = tracked
-            .iter()
-            .map(|(_, owner)| AnonymizeRequest::new(owner.clone(), roadnet::SegmentId(0), 0))
-            .collect();
         let attack = cfg.attack.clone().map(|mut attack_cfg| {
             attack_cfg.owners = attack_cfg.owners.min(tracked.len());
             let adversary_cfg = AdversaryConfig {
@@ -533,29 +648,68 @@ impl ContinuousPipeline {
                 cfg: attack_cfg,
             }
         });
-        Ok(ContinuousPipeline {
+        let mut pipeline = ContinuousPipeline {
             sim,
-            service: Arc::new(service),
+            partition,
+            shards,
+            city: OccupancySnapshot::from_counts(Vec::new()),
             dean,
             profile,
             pois,
             cfg,
             tracked,
-            requests,
-            registered: HashSet::new(),
-            spare_snapshot: None,
             verify_scratch: CloakScratch::new(),
             lbs_scratch: SearchScratch::new(),
             attack,
             injector,
             crashed: false,
+            handoffs_total: 0,
             tick: 0,
-        })
+        };
+        pipeline.refresh_snapshots();
+        Ok(pipeline)
     }
 
-    /// The shared service (snapshot swaps and key fetches are `&self`).
+    /// The first shard's service — the only one unless the pipeline was
+    /// built with several shards (snapshot swaps and key fetches are
+    /// `&self`).
     pub fn service(&self) -> Arc<AnonymizerService> {
-        Arc::clone(&self.service)
+        Arc::clone(&self.shards[0].service)
+    }
+
+    /// Every shard's service, in shard order.
+    pub fn services(&self) -> Vec<Arc<AnonymizerService>> {
+        self.shards.iter().map(|s| Arc::clone(&s.service)).collect()
+    }
+
+    /// Number of shards (1 for the identity partition).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The map partition, `None` for the one-shard identity partition.
+    pub fn partition(&self) -> Option<&Partition> {
+        self.partition.as_ref()
+    }
+
+    /// The shard currently holding `owner`, `None` when untracked.
+    pub fn owner_shard(&self, owner: &str) -> Option<usize> {
+        self.shards
+            .iter()
+            .position(|s| s.requests.iter().any(|r| r.owner == owner))
+    }
+
+    /// The owner's current chain epoch, looked up on whichever shard
+    /// holds the owner.
+    pub fn owner_epoch(&self, owner: &str) -> Option<u64> {
+        self.shards
+            .iter()
+            .find_map(|s| s.service.owner_epoch(owner))
+    }
+
+    /// Owners handed across partition boundaries so far.
+    pub fn handoffs_total(&self) -> u64 {
+        self.handoffs_total
     }
 
     /// The traffic simulation being driven.
@@ -573,9 +727,83 @@ impl ContinuousPipeline {
         self.tracked.len()
     }
 
-    /// Advances one tick: step traffic, swap the snapshot on cadence,
-    /// re-anonymize the tracked owners as a batch, probe the LBS, and
-    /// (when configured) verify every receipt's invariants.
+    /// Recaptures the traffic and swaps a fresh snapshot into every
+    /// shard. The cost is one city-wide capture, plus one city-sized
+    /// mask pass per shard when the map is partitioned.
+    fn refresh_snapshots(&mut self) {
+        match &self.partition {
+            None => self.shards[0].refresh(|snapshot| self.sim.capture_into(snapshot)),
+            Some(partition) => {
+                self.sim.capture_into(&mut self.city);
+                for (p, shard) in self.shards.iter_mut().enumerate() {
+                    shard.refresh(|snapshot| {
+                        snapshot.mask_from(&self.city, |s| partition.shard_of(s) == p)
+                    });
+                }
+            }
+        }
+    }
+
+    /// Hands every owner whose car crossed a partition boundary to the
+    /// shard now owning its segment: chain, record (with its captured
+    /// grants) and request leave the old shard before any request of the
+    /// tick is issued. The chain resumes at its exported epoch, so epochs
+    /// stay monotone across any number of handoffs. Returns the number
+    /// of handoffs.
+    fn migrate_owners(&mut self) -> usize {
+        let Some(partition) = &self.partition else {
+            return 0;
+        };
+        let mut handoffs = 0;
+        for (i, t) in self.tracked.iter_mut().enumerate() {
+            let segment = self
+                .sim
+                .car_segment(t.car)
+                .expect("tracked cars exist for the simulation's lifetime");
+            let dest = partition.shard_of(segment);
+            if dest == t.shard {
+                continue;
+            }
+            let from = &mut self.shards[t.shard];
+            let at = from
+                .owners
+                .binary_search(&i)
+                .expect("an owner is listed on the shard holding it");
+            from.owners.remove(at);
+            let request = from.requests.remove(at);
+            let handoff = from.service.export_owner(&request.owner);
+            let to = &mut self.shards[dest];
+            if let Some(handoff) = handoff {
+                to.service.import_owner(handoff);
+            }
+            let at = to.owners.binary_search(&i).unwrap_or_else(|at| at);
+            to.owners.insert(at, i);
+            to.requests.insert(at, request);
+            t.shard = dest;
+            handoffs += 1;
+        }
+        self.handoffs_total += handoffs as u64;
+        handoffs
+    }
+
+    /// `(shard, position in the shard's batch)` of every tracked owner,
+    /// in global owner order.
+    fn owner_slots(&self) -> Vec<(usize, usize)> {
+        let mut next = vec![0; self.shards.len()];
+        self.tracked
+            .iter()
+            .map(|t| {
+                let j = next[t.shard];
+                next[t.shard] += 1;
+                (t.shard, j)
+            })
+            .collect()
+    }
+
+    /// Advances one tick: step traffic, hand boundary-crossing owners to
+    /// their new shard, swap the snapshots on cadence, re-anonymize each
+    /// shard's owners as a batch, probe the LBS, and (when configured)
+    /// verify every receipt's invariants against its issuing shard.
     ///
     /// # Errors
     ///
@@ -593,12 +821,13 @@ impl ContinuousPipeline {
         }
         self.tick += 1;
         self.sim.step(self.cfg.dt);
+        let handoffs = self.migrate_owners();
 
         let mut health = TickHealth::default();
         let cadence = self.cfg.snapshot_cadence.max(1) as u64;
         let mut snapshot_refreshed = self.tick.is_multiple_of(cadence);
         if snapshot_refreshed && self.injector.as_ref().is_some_and(|i| i.snapshot_fault()) {
-            // Injected capture failure: keep serving the stale snapshot
+            // Injected capture failure: keep serving the stale snapshots
             // and count the degradation — receipts stay correct because
             // every per-tick invariant is checked against the snapshot
             // actually in service at issue time.
@@ -606,42 +835,32 @@ impl ContinuousPipeline {
             health.snapshot_faults += 1;
         }
         if snapshot_refreshed {
-            // Recapture into the buffer reclaimed from the previous swap
-            // when no in-flight reader still holds it; the steady-state
-            // cadence loop then rotates two snapshot buffers instead of
-            // allocating a fresh one each refresh.
-            let mut snap = self
-                .spare_snapshot
-                .take()
-                .unwrap_or_else(|| OccupancySnapshot::from_counts(Vec::new()));
-            self.sim.capture_into(&mut snap);
-            let previous = self.service.swap_snapshot(snap);
-            self.spare_snapshot = Arc::try_unwrap(previous).ok();
+            self.refresh_snapshots();
         }
-        // The snapshot every receipt of this tick is issued under; later
-        // swaps must never retroactively invalidate these receipts.
-        let issuing = self.service.snapshot();
+        // The snapshot each shard issues this tick's receipts under;
+        // later swaps must never retroactively invalidate these receipts.
+        let issuing: Vec<Arc<OccupancySnapshot>> =
+            self.shards.iter().map(|s| s.service.snapshot()).collect();
 
-        for (i, ((car, _), request)) in self
-            .tracked
-            .iter()
-            .zip(self.requests.iter_mut())
-            .enumerate()
-        {
-            request.segment = self
-                .sim
-                .car_segment(*car)
-                .expect("tracked cars exist for the simulation's lifetime");
-            request.seed = mix_seed(self.cfg.seed, self.tick, i as u64);
+        for shard in &mut self.shards {
+            for (&i, request) in shard.owners.iter().zip(shard.requests.iter_mut()) {
+                request.segment = self
+                    .sim
+                    .car_segment(self.tracked[i].car)
+                    .expect("tracked cars exist for the simulation's lifetime");
+                // Seeds mix the global owner index: a handoff never
+                // changes an owner's seed sequence.
+                request.seed = mix_seed(self.cfg.seed, self.tick, i as u64);
+            }
         }
-        // Take the request buffer so its borrow does not pin `self`
-        // across the verification calls; it is restored before returning
-        // on every path.
-        let requests = std::mem::take(&mut self.requests);
-        let mut results = self.service.anonymize_batch(&requests);
+        let mut results: Vec<Vec<AnonymizeResult>> = self
+            .shards
+            .iter()
+            .map(|s| s.service.anonymize_batch(&s.requests))
+            .collect();
 
         // Injected crash between ratchet-advance and receipt-issue: the
-        // batch journaled every owner's advance, but no receipt reaches
+        // batches journaled every owner's advance, but no receipt reaches
         // the stream. This is exactly the window the write-ahead journal
         // exists for — recovery must resume past the journaled epochs.
         if self
@@ -650,7 +869,6 @@ impl ContinuousPipeline {
             .is_some_and(|i| i.crash_due(self.tick))
         {
             self.crashed = true;
-            self.requests = requests;
             return Err(PipelineError {
                 message: format!(
                     "tick {}: injected crash between ratchet-advance and receipt-issue",
@@ -659,42 +877,9 @@ impl ContinuousPipeline {
             });
         }
 
-        // Degradation ladder for journal write failures, in request
-        // order: retry with backoff, then skip the owner and count it,
-        // then abort once the tick's skip budget is blown. A failed
-        // advance never committed the chain, so a successful retry
-        // re-derives the same epoch from the same request seed — the
-        // recovered receipt is bit-identical to the one the fault
-        // suppressed, keeping the stream digest on its fault-free value.
-        let policy = self.cfg.fault_policy.clone();
-        for (i, slot) in results.iter_mut().enumerate() {
-            if !matches!(slot, Err(CloakError::Persistence(_))) {
-                continue;
-            }
-            let request = &requests[i];
-            for attempt in 0..policy.journal_retries {
-                if policy.backoff_base_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        policy.backoff_base_ms << attempt.min(16),
-                    ));
-                }
-                health.journal_retries += 1;
-                *slot = self.service.anonymize_seeded(
-                    &request.owner,
-                    request.segment,
-                    request.profile.as_ref(),
-                    request.seed,
-                );
-                if !matches!(slot, Err(CloakError::Persistence(_))) {
-                    break;
-                }
-            }
-            if matches!(slot, Err(CloakError::Persistence(_))) {
-                health.journal_skips += 1;
-            }
-        }
+        self.retry_journal_failures(&mut results, &mut health);
+        let policy = &self.cfg.fault_policy;
         if health.journal_skips > policy.max_skipped_owners as u64 {
-            self.requests = requests;
             return Err(PipelineError {
                 message: format!(
                     "tick {}: {} owners skipped after journal failures (budget {})",
@@ -707,7 +892,7 @@ impl ContinuousPipeline {
         // if the walk dead-ended — an availability event, counted in
         // both `failed` and the health rollup.
         if let Some(injector) = &self.injector {
-            for slot in results.iter_mut() {
+            for slot in results.iter_mut().flatten() {
                 if slot.is_ok() && injector.cloak_fault() {
                     health.injected_cloak_failures += 1;
                     *slot = Err(CloakError::CloakingFailed {
@@ -725,160 +910,234 @@ impl ContinuousPipeline {
             issued: 0,
             failed: 0,
             verified: 0,
+            handoffs,
             digest: FNV_OFFSET,
+            shard_digests: Vec::with_capacity(self.shards.len()),
             quality: QualitySummary::new(),
             lbs: QueryStats::new(),
             attack: None,
             health,
         };
-        for (i, (request, result)) in requests.iter().zip(&results).enumerate() {
-            let receipt = match result {
-                Ok(r) => r,
-                Err(_) => {
+        for ((shard, slots), issuing) in self.shards.iter().zip(&results).zip(&issuing) {
+            let mut digest = FNV_OFFSET;
+            for (request, result) in shard.requests.iter().zip(slots) {
+                let Ok(receipt) = result else {
                     report.failed += 1;
                     continue;
-                }
-            };
-            report.issued += 1;
-            report.digest = fnv_fold(report.digest, request.owner.as_bytes());
-            report.digest = fnv_fold(report.digest, &receipt.payload.encode());
-            report.quality.record(&RegionQuality::measure(
-                self.service.network(),
-                &issuing,
-                &self.profile,
-                &receipt.outcome,
-            ));
-            if let Some(pois) = &self.pois {
-                if (report.issued - 1) < self.cfg.lbs_probes {
-                    // The LBS only ever sees the cloaked region.
-                    let category = PoiCategory::ALL[i % PoiCategory::ALL.len()];
-                    report.lbs.record(&nearest_query_with(
-                        self.service.network(),
-                        pois,
-                        &receipt.payload.segments,
-                        category,
-                        &mut self.lbs_scratch,
-                    ));
-                }
+                };
+                report.issued += 1;
+                digest = fnv_fold(digest, request.owner.as_bytes());
+                digest = fnv_fold(digest, &receipt.payload.encode());
+                report.quality.record(&RegionQuality::measure(
+                    shard.service.network(),
+                    issuing,
+                    &self.profile,
+                    &receipt.outcome,
+                ));
+            }
+            report.shard_digests.push(digest);
+        }
+        report.digest = match report.shard_digests.as_slice() {
+            [digest] => *digest,
+            digests => digests
+                .iter()
+                .fold(FNV_OFFSET, |h, d| fnv_fold(h, &d.to_be_bytes())),
+        };
+
+        let slots = self.owner_slots();
+        if let Some(pois) = &self.pois {
+            // The LBS only ever sees the cloaked region: the first
+            // `lbs_probes` receipts in global owner order.
+            let issued = slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &(p, j))| results[p][j].as_ref().ok().map(|r| (i, r)));
+            for (i, receipt) in issued.take(self.cfg.lbs_probes) {
+                let category = PoiCategory::ALL[i % PoiCategory::ALL.len()];
+                report.lbs.record(&nearest_query_with(
+                    self.shards[0].service.network(),
+                    pois,
+                    &receipt.payload.segments,
+                    category,
+                    &mut self.lbs_scratch,
+                ));
             }
         }
         let mut verify_err = None;
         if self.cfg.verify {
-            let (verified, err) = self.verify_tick(&requests, &results, &issuing);
-            report.verified = verified;
-            verify_err = err;
-        }
-        // The attack leg observes the receipts just issued (and the NRE
-        // control grown from the same true segments). It reads public
-        // information only: region, issuing snapshot, tick — the true
-        // segment is passed solely for scoring.
-        if let Some(leg) = self.attack.as_mut() {
-            let net = self.service.network();
-            let mut engine_tick = AttackSummary::new();
-            let mut baseline_tick = AttackSummary::new();
-            // Every observation this tick shares one issuing snapshot:
-            // announce it once, together with the tracked population, so
-            // each adversary prices the occupancy weighting per tick and
-            // packs the whole population's movement-reachability masks
-            // into one matrix OR-pass up front (each `observe` below then
-            // reads its owner's precomputed row).
-            leg.engine_adversary.begin_tick_population(
-                &issuing,
-                snapshot_refreshed,
-                requests
-                    .iter()
-                    .take(leg.cfg.owners)
-                    .map(|r| r.owner.as_str()),
-            );
-            if let Some(baseline_adversary) = leg.baseline_adversary.as_mut() {
-                baseline_adversary.begin_tick_population(
-                    &issuing,
-                    snapshot_refreshed,
-                    requests
-                        .iter()
-                        .take(leg.cfg.owners)
-                        .map(|r| r.owner.as_str()),
-                );
-            }
-            for (i, (request, result)) in requests.iter().zip(&results).enumerate() {
-                if i >= leg.cfg.owners {
+            for (p, (slots, issuing)) in results.iter().zip(&issuing).enumerate() {
+                let (verified, err) = self.verify_tick(p, slots, issuing);
+                report.verified += verified;
+                if err.is_some() {
+                    verify_err = err;
                     break;
                 }
-                let Ok(receipt) = result else { continue };
-                let observe_start = std::time::Instant::now();
-                let observation = leg.engine_adversary.observe(
-                    net,
-                    &request.owner,
-                    Observation {
-                        tick: self.tick,
-                        region: &receipt.payload.segments,
-                        snapshot: &issuing,
-                        snapshot_fresh: snapshot_refreshed,
-                    },
-                    None,
-                    Some(request.segment),
-                );
-                leg.engine_observe_time += observe_start.elapsed();
-                engine_tick.record(&observation);
-                leg.engine_summary.record(&observation);
-                if leg.cfg.keep_records {
-                    leg.records.push(AttackRecord {
-                        scheme: leg.engine_label,
-                        owner: request.owner.clone(),
-                        observation,
-                    });
-                }
-                if let Some(baseline_adversary) = leg.baseline_adversary.as_mut() {
-                    let requirement = self.profile.top_requirement();
-                    let seed = leg.baseline_seeds[i];
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    match random_expansion_with(
-                        net,
-                        &issuing,
-                        request.segment,
-                        requirement,
-                        &mut rng,
-                        &mut leg.nre_scratch,
-                    ) {
-                        Ok(control) => {
-                            let observe_start = std::time::Instant::now();
-                            let observation = baseline_adversary.observe(
-                                net,
-                                &request.owner,
-                                Observation {
-                                    tick: self.tick,
-                                    region: &control.segments,
-                                    snapshot: &issuing,
-                                    snapshot_fresh: snapshot_refreshed,
-                                },
-                                Some(ReplayProbe { requirement, seed }),
-                                Some(request.segment),
-                            );
-                            leg.baseline_observe_time += observe_start.elapsed();
-                            baseline_tick.record(&observation);
-                            leg.baseline_summary.record(&observation);
-                            if leg.cfg.keep_records {
-                                leg.records.push(AttackRecord {
-                                    scheme: "nre",
-                                    owner: request.owner.clone(),
-                                    observation,
-                                });
-                            }
-                        }
-                        Err(_) => leg.baseline_failures += 1,
-                    }
-                }
             }
-            report.attack = Some(AttackTickSummary {
-                engine: engine_tick,
-                baseline: leg.baseline_adversary.is_some().then_some(baseline_tick),
-            });
         }
-        self.requests = requests;
+        report.attack = self.attack_tick(&slots, &results, &issuing[0], snapshot_refreshed);
         match verify_err {
             Some(e) => Err(e),
             None => Ok(report),
         }
+    }
+
+    /// The first rungs of the degradation ladder for journal write
+    /// failures, in request order: retry with backoff, then skip the
+    /// owner and count it ([`tick`](Self::tick) aborts once the skip
+    /// budget is blown). A failed
+    /// advance never committed the chain, so a successful retry
+    /// re-derives the same epoch from the same request seed — the
+    /// recovered receipt is bit-identical to the one the fault
+    /// suppressed, keeping the stream digest on its fault-free value.
+    fn retry_journal_failures(
+        &self,
+        results: &mut [Vec<AnonymizeResult>],
+        health: &mut TickHealth,
+    ) {
+        let policy = &self.cfg.fault_policy;
+        for (shard, slots) in self.shards.iter().zip(results) {
+            for (request, slot) in shard.requests.iter().zip(slots.iter_mut()) {
+                if !matches!(slot, Err(CloakError::Persistence(_))) {
+                    continue;
+                }
+                for attempt in 0..policy.journal_retries {
+                    if policy.backoff_base_ms > 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(
+                            policy.backoff_base_ms << attempt.min(16),
+                        ));
+                    }
+                    health.journal_retries += 1;
+                    *slot = shard.service.anonymize_seeded(
+                        &request.owner,
+                        request.segment,
+                        request.profile.as_ref(),
+                        request.seed,
+                    );
+                    if !matches!(slot, Err(CloakError::Persistence(_))) {
+                        break;
+                    }
+                }
+                if matches!(slot, Err(CloakError::Persistence(_))) {
+                    health.journal_skips += 1;
+                }
+            }
+        }
+    }
+
+    /// The attack leg: observes the receipts just issued (and the NRE
+    /// control grown from the same true segments) in global owner order,
+    /// returning the tick's rollup (`None` when the leg is off). It reads
+    /// public information only: region, the unmasked city capture, tick
+    /// — the true segment is passed solely for scoring. With one shard
+    /// the city capture is `issuing`, that shard's issuing snapshot.
+    fn attack_tick(
+        &mut self,
+        slots: &[(usize, usize)],
+        results: &[Vec<AnonymizeResult>],
+        issuing: &OccupancySnapshot,
+        snapshot_refreshed: bool,
+    ) -> Option<AttackTickSummary> {
+        let leg = self.attack.as_mut()?;
+        let net = self.shards[0].service.network();
+        let city: &OccupancySnapshot = match self.partition {
+            Some(_) => &self.city,
+            None => issuing,
+        };
+        let observed = &slots[..leg.cfg.owners];
+        let owner = |&(p, j): &(usize, usize)| &self.shards[p].requests[j];
+        let mut engine_tick = AttackSummary::new();
+        let mut baseline_tick = AttackSummary::new();
+        // Every observation this tick shares one snapshot: announce
+        // it once, together with the tracked population, so each
+        // adversary prices the occupancy weighting per tick and packs
+        // the whole population's movement-reachability masks into one
+        // matrix OR-pass up front (each `observe` below then reads its
+        // owner's precomputed row).
+        leg.engine_adversary.begin_tick_population(
+            city,
+            snapshot_refreshed,
+            observed.iter().map(|slot| owner(slot).owner.as_str()),
+        );
+        if let Some(baseline_adversary) = leg.baseline_adversary.as_mut() {
+            baseline_adversary.begin_tick_population(
+                city,
+                snapshot_refreshed,
+                observed.iter().map(|slot| owner(slot).owner.as_str()),
+            );
+        }
+        for (i, slot) in observed.iter().enumerate() {
+            let request = owner(slot);
+            let Ok(receipt) = &results[slot.0][slot.1] else {
+                continue;
+            };
+            let observe_start = std::time::Instant::now();
+            let observation = leg.engine_adversary.observe(
+                net,
+                &request.owner,
+                Observation {
+                    tick: self.tick,
+                    region: &receipt.payload.segments,
+                    snapshot: city,
+                    snapshot_fresh: snapshot_refreshed,
+                },
+                None,
+                Some(request.segment),
+            );
+            leg.engine_observe_time += observe_start.elapsed();
+            engine_tick.record(&observation);
+            leg.engine_summary.record(&observation);
+            if leg.cfg.keep_records {
+                leg.records.push(AttackRecord {
+                    scheme: leg.engine_label,
+                    owner: request.owner.clone(),
+                    observation,
+                });
+            }
+            if let Some(baseline_adversary) = leg.baseline_adversary.as_mut() {
+                let requirement = self.profile.top_requirement();
+                let seed = leg.baseline_seeds[i];
+                let mut rng = StdRng::seed_from_u64(seed);
+                match random_expansion_with(
+                    net,
+                    city,
+                    request.segment,
+                    requirement,
+                    &mut rng,
+                    &mut leg.nre_scratch,
+                ) {
+                    Ok(control) => {
+                        let observe_start = std::time::Instant::now();
+                        let observation = baseline_adversary.observe(
+                            net,
+                            &request.owner,
+                            Observation {
+                                tick: self.tick,
+                                region: &control.segments,
+                                snapshot: city,
+                                snapshot_fresh: snapshot_refreshed,
+                            },
+                            Some(ReplayProbe { requirement, seed }),
+                            Some(request.segment),
+                        );
+                        leg.baseline_observe_time += observe_start.elapsed();
+                        baseline_tick.record(&observation);
+                        leg.baseline_summary.record(&observation);
+                        if leg.cfg.keep_records {
+                            leg.records.push(AttackRecord {
+                                scheme: "nre",
+                                owner: request.owner.clone(),
+                                observation,
+                            });
+                        }
+                    }
+                    Err(_) => leg.baseline_failures += 1,
+                }
+            }
+        }
+        Some(AttackTickSummary {
+            engine: engine_tick,
+            baseline: leg.baseline_adversary.is_some().then_some(baseline_tick),
+        })
     }
 
     /// Cumulative attack rollup against the engine's receipt stream
@@ -938,27 +1197,33 @@ impl ContinuousPipeline {
         (0..ticks).map(|_| self.tick()).collect()
     }
 
-    /// The per-tick verification leg, owner-batched.
+    /// The per-tick verification leg of one shard, owner-batched,
+    /// against that shard's service and its issuing snapshot.
     ///
-    /// Pass 1 walks the issued receipts in order, checking k-anonymity
-    /// at issue time, region membership, and grant preservation, and
-    /// collects each surviving receipt's `(payload, keys)` reduction
-    /// job. Pass 2 then peels every collected job through
-    /// [`Deanonymizer::reduce_batch_with`] — one shared
-    /// [`CloakScratch`] for the whole tick — and checks exact
-    /// reversibility. Per receipt this is the same check sequence as the
-    /// former one-owner loop; the reported error is the one with the
-    /// smallest receipt index on either pass.
+    /// Pass 1 walks the shard's issued receipts in order, checking
+    /// k-anonymity at issue time, region membership, and grant
+    /// preservation, and collects each surviving receipt's
+    /// `(payload, keys)` reduction job. Pass 2 then peels every
+    /// collected job through [`Deanonymizer::reduce_batch_with`] — one
+    /// shared [`CloakScratch`] — and checks exact reversibility. The
+    /// reported error is the one with the smallest receipt index on
+    /// either pass.
     ///
     /// Returns `(verified, error)`: the number of receipts preceding the
     /// first failure that passed both passes, and the failure, if any.
     fn verify_tick(
         &mut self,
-        requests: &[AnonymizeRequest],
-        results: &[Result<crate::service::AnonymizeReceipt, CloakError>],
+        shard: usize,
+        results: &[AnonymizeResult],
         issuing: &OccupancySnapshot,
     ) -> (usize, Option<PipelineError>) {
         let tick = self.tick;
+        let Shard {
+            service,
+            owners,
+            requests,
+            ..
+        } = &self.shards[shard];
         let fail = |owner: &str, what: &str| PipelineError {
             message: format!("tick {tick}: {owner}: {what}"),
         };
@@ -967,9 +1232,10 @@ impl ContinuousPipeline {
         type ReduceJob<'a> = (usize, &'a Arc<CloakPayload>, Vec<(Level, Key256)>);
         let mut pass1_err = None;
         let mut jobs: Vec<ReduceJob<'_>> = Vec::new();
-        for (i, (request, result)) in requests.iter().zip(results).enumerate() {
+        for (j, (request, result)) in requests.iter().zip(results).enumerate() {
             let Ok(receipt) = result else { continue };
             let owner = &request.owner;
+            let tracked = &mut self.tracked[owners[j]];
 
             // k-anonymity against the snapshot the receipt was issued
             // under.
@@ -990,21 +1256,18 @@ impl ContinuousPipeline {
             // Grant preservation: the auditor is registered only at the
             // owner's first cloak — on every later tick its keys must
             // keep working across the re-anonymization.
-            if !self.registered.contains(&i) {
-                if !self
-                    .service
-                    .register_requester(owner, AUDITOR, TrustDegree(10), Level(0))
-                {
+            if !tracked.registered {
+                if !service.register_requester(owner, AUDITOR, TrustDegree(10), Level(0)) {
                     pass1_err = Some(fail(
                         owner,
                         "owner record missing right after anonymization",
                     ));
                     break;
                 }
-                self.registered.insert(i);
+                tracked.registered = true;
             }
-            match self.service.fetch_keys(owner, AUDITOR) {
-                Ok(keys) => jobs.push((i, &receipt.payload, keys)),
+            match service.fetch_keys(owner, AUDITOR) {
+                Ok(keys) => jobs.push((j, &receipt.payload, keys)),
                 Err(e) => {
                     pass1_err = Some(fail(
                         owner,
@@ -1023,8 +1286,8 @@ impl ContinuousPipeline {
             &mut self.verify_scratch,
         );
         let mut verified = 0;
-        for ((i, _, _), view) in jobs.iter().zip(views) {
-            let request = &requests[*i];
+        for ((j, _, _), view) in jobs.iter().zip(views) {
+            let request = &requests[*j];
             match view {
                 Ok(view) if view.segments == [request.segment] => verified += 1,
                 Ok(view) => {
@@ -1059,7 +1322,8 @@ impl std::fmt::Debug for ContinuousPipeline {
         f.debug_struct("ContinuousPipeline")
             .field("tick", &self.tick)
             .field("tracked", &self.tracked.len())
-            .field("engine", &self.service.engine().name())
+            .field("shards", &self.shards.len())
+            .field("engine", &self.shards[0].service.engine().name())
             .finish()
     }
 }
@@ -1090,7 +1354,15 @@ mod tests {
     use roadnet::grid_city;
 
     fn pipeline(engine: EngineChoice, cfg: PipelineConfig) -> ContinuousPipeline {
-        ContinuousPipeline::new(
+        sharded(engine, cfg, 1)
+    }
+
+    /// The invariant tests run at both of these shard counts: the
+    /// identity partition and a partitioned map with owner handoff.
+    const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+    fn sharded(engine: EngineChoice, cfg: PipelineConfig, shards: usize) -> ContinuousPipeline {
+        ContinuousPipeline::sharded(
             grid_city(7, 7, 100.0),
             SimConfig {
                 cars: 200,
@@ -1102,7 +1374,10 @@ mod tests {
                 ..Default::default()
             },
             cfg,
+            shards,
+            Arc::new(MemStore::new()),
         )
+        .expect("an empty MemStore never fails to load")
     }
 
     #[test]
@@ -1268,27 +1543,30 @@ mod tests {
 
     #[test]
     fn attack_leg_does_not_perturb_the_receipt_stream() {
-        let digests = |attack: Option<AttackConfig>| {
-            let mut p = pipeline(
-                EngineChoice::Rge,
-                PipelineConfig {
-                    tracked_owners: 5,
-                    lbs_probes: 0,
-                    attack,
-                    ..Default::default()
-                },
+        for shards in SHARD_COUNTS {
+            let digests = |attack: Option<AttackConfig>| {
+                let mut p = sharded(
+                    EngineChoice::Rge,
+                    PipelineConfig {
+                        tracked_owners: 5,
+                        lbs_probes: 0,
+                        attack,
+                        ..Default::default()
+                    },
+                    shards,
+                );
+                p.run(3)
+                    .unwrap()
+                    .iter()
+                    .map(|r| r.digest)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                digests(None),
+                digests(Some(AttackConfig::default())),
+                "{shards} shards: the attack leg is purely observational"
             );
-            p.run(3)
-                .unwrap()
-                .iter()
-                .map(|r| r.digest)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            digests(None),
-            digests(Some(AttackConfig::default())),
-            "the attack leg is purely observational"
-        );
+        }
     }
 
     #[test]
@@ -1329,101 +1607,111 @@ mod tests {
 
     #[test]
     fn journal_fault_retries_recover_the_fault_free_digest() {
-        let run = |fault: Option<FaultPlan>| {
-            let mut p = pipeline(
-                EngineChoice::Rge,
-                PipelineConfig {
-                    tracked_owners: 6,
-                    lbs_probes: 0,
-                    fault,
-                    fault_policy: FaultPolicy {
-                        journal_retries: 8,
+        for shards in SHARD_COUNTS {
+            let run = |fault: Option<FaultPlan>| {
+                let mut p = sharded(
+                    EngineChoice::Rge,
+                    PipelineConfig {
+                        tracked_owners: 6,
+                        lbs_probes: 0,
+                        fault,
+                        fault_policy: FaultPolicy {
+                            journal_retries: 8,
+                            ..Default::default()
+                        },
                         ..Default::default()
                     },
-                    ..Default::default()
-                },
+                    shards,
+                );
+                p.run(4).unwrap()
+            };
+            let clean = run(None);
+            let faulty = run(Some(FaultPlan {
+                seed: 9,
+                journal_write_fail: 0.4,
+                ..Default::default()
+            }));
+            let retries: u64 = faulty.iter().map(|r| r.health.journal_retries).sum();
+            assert!(retries > 0, "p=0.4 over 24 requests injects failures");
+            assert!(faulty.iter().all(|r| r.health.journal_skips == 0));
+            // A recovered owner's chain never advanced on the failed
+            // write, so the retry re-derives the same epoch and the
+            // receipt stream is bit-identical to the fault-free run.
+            assert_eq!(
+                clean.iter().map(|r| r.digest).collect::<Vec<_>>(),
+                faulty.iter().map(|r| r.digest).collect::<Vec<_>>(),
+                "{shards} shards"
             );
-            p.run(4).unwrap()
-        };
-        let clean = run(None);
-        let faulty = run(Some(FaultPlan {
-            seed: 9,
-            journal_write_fail: 0.4,
-            ..Default::default()
-        }));
-        let retries: u64 = faulty.iter().map(|r| r.health.journal_retries).sum();
-        assert!(retries > 0, "p=0.4 over 24 requests injects failures");
-        assert!(faulty.iter().all(|r| r.health.journal_skips == 0));
-        // A recovered owner's chain never advanced on the failed write,
-        // so the retry re-derives the same epoch and the receipt stream
-        // is bit-identical to the fault-free run.
-        assert_eq!(
-            clean.iter().map(|r| r.digest).collect::<Vec<_>>(),
-            faulty.iter().map(|r| r.digest).collect::<Vec<_>>(),
-        );
-        assert!(faulty
-            .iter()
-            .all(|r| r.failed == 0 && r.verified == r.issued));
+            assert!(faulty
+                .iter()
+                .all(|r| r.failed == 0 && r.verified == r.issued));
+        }
     }
 
     #[test]
     fn exhausted_retries_skip_owners_and_blow_the_budget() {
-        let build = |max_skipped_owners| {
-            pipeline(
-                EngineChoice::Rge,
-                PipelineConfig {
-                    tracked_owners: 4,
-                    lbs_probes: 0,
-                    fault: Some(FaultPlan {
-                        journal_write_fail: 1.0,
-                        ..Default::default()
-                    }),
-                    fault_policy: FaultPolicy {
-                        journal_retries: 2,
-                        max_skipped_owners,
+        for shards in SHARD_COUNTS {
+            let build = |max_skipped_owners| {
+                sharded(
+                    EngineChoice::Rge,
+                    PipelineConfig {
+                        tracked_owners: 4,
+                        lbs_probes: 0,
+                        fault: Some(FaultPlan {
+                            journal_write_fail: 1.0,
+                            ..Default::default()
+                        }),
+                        fault_policy: FaultPolicy {
+                            journal_retries: 2,
+                            max_skipped_owners,
+                            ..Default::default()
+                        },
                         ..Default::default()
                     },
-                    ..Default::default()
-                },
-            )
-        };
-        // A generous budget degrades to skip-and-count: the tick
-        // completes with every owner skipped and nothing issued.
-        let report = build(usize::MAX).tick().unwrap();
-        assert_eq!(report.health.journal_skips, 4);
-        assert_eq!(report.health.journal_retries, 8, "2 retries per owner");
-        assert_eq!(report.failed, 4);
-        assert_eq!(report.issued, 0);
-        // A zero budget aborts the tick instead.
-        let err = build(0).tick().unwrap_err();
-        assert!(err.message.contains("owners skipped"), "{err}");
+                    shards,
+                )
+            };
+            // A generous budget degrades to skip-and-count: the tick
+            // completes with every owner skipped and nothing issued.
+            let report = build(usize::MAX).tick().unwrap();
+            assert_eq!(report.health.journal_skips, 4, "{shards} shards");
+            assert_eq!(report.health.journal_retries, 8, "2 retries per owner");
+            assert_eq!(report.failed, 4);
+            assert_eq!(report.issued, 0);
+            // A zero budget aborts the tick instead.
+            let err = build(0).tick().unwrap_err();
+            assert!(err.message.contains("owners skipped"), "{err}");
+        }
     }
 
     #[test]
     fn injected_crash_halts_until_rebuilt() {
-        let mut p = pipeline(
-            EngineChoice::Rge,
-            PipelineConfig {
-                tracked_owners: 3,
-                lbs_probes: 0,
-                fault: Some(FaultPlan {
-                    crash_at_tick: Some(2),
+        for shards in SHARD_COUNTS {
+            let mut p = sharded(
+                EngineChoice::Rge,
+                PipelineConfig {
+                    tracked_owners: 3,
+                    lbs_probes: 0,
+                    fault: Some(FaultPlan {
+                        crash_at_tick: Some(2),
+                        ..Default::default()
+                    }),
                     ..Default::default()
-                }),
-                ..Default::default()
-            },
-        );
-        assert!(p.tick().is_ok());
-        let err = p.tick().unwrap_err();
-        assert!(
-            err.message
-                .contains("injected crash between ratchet-advance and receipt-issue"),
-            "{err}"
-        );
-        // The pipeline stays down: a crashed process serves nothing.
-        let err = p.tick().unwrap_err();
-        assert!(err.message.contains("rebuild over the surviving"), "{err}");
-        assert_eq!(p.ticks_run(), 2);
+                },
+                shards,
+            );
+            assert!(p.tick().is_ok(), "{shards} shards");
+            let err = p.tick().unwrap_err();
+            assert!(
+                err.message
+                    .contains("injected crash between ratchet-advance and receipt-issue"),
+                "{err}"
+            );
+            // The pipeline stays down: a crashed process serves nothing.
+            let err = p.tick().unwrap_err();
+            assert!(err.message.contains("rebuild over the surviving"), "{err}");
+            assert_eq!(p.ticks_run(), 2);
+        }
     }
 
     #[test]

@@ -717,6 +717,63 @@ fn cli_simulate_attack_flag_widens_the_csv() {
     let _ = std::fs::remove_file(metrics);
 }
 
+/// `rcloak simulate --shards N` runs the same tick as the unsharded
+/// run: with and without the attack leg, every issued receipt verifies
+/// against its issuing shard and the CSV has one row per tick.
+#[test]
+fn cli_simulate_sharded_runs_every_leg() {
+    let metrics = tmp("sim-sharded-metrics.csv");
+    for attack in [&[][..], &["--attack", "all"][..]] {
+        let mut args = vec![
+            "simulate",
+            "--ticks",
+            "5",
+            "--cars",
+            "400",
+            "--grid",
+            "8x8",
+            "--owners",
+            "10",
+            "--seed",
+            "3",
+            "--shards",
+            "4",
+            "--out",
+            metrics.to_str().unwrap(),
+        ];
+        args.extend_from_slice(attack);
+        let out = rcloak().args(&args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{attack:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("partition ["), "{stdout}");
+        let issued: usize = stdout
+            .split("issued ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .expect("an `issued N receipts` line");
+        assert!(issued > 0, "{stdout}");
+        assert!(
+            stdout.contains(&format!("verified {issued}/{issued}")),
+            "{stdout}"
+        );
+
+        let csv = std::fs::read_to_string(&metrics).unwrap();
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 6, "header + one row per tick");
+        assert!(lines[0].contains(",handoffs,"), "{}", lines[0]);
+        let header_cols = lines[0].split(',').count();
+        for row in &lines[1..] {
+            assert_eq!(row.split(',').count(), header_cols, "{row}");
+        }
+    }
+    let _ = std::fs::remove_file(metrics);
+}
+
 /// `rcloak attack` runs the continuous adversarial evaluation: the
 /// summary separates the keyed engine stream from the NRE control, and
 /// the CSV logs one row per (scheme, owner, tick).

@@ -46,6 +46,25 @@ impl OccupancySnapshot {
         self.taken_at_ms = (sim.clock() * 1000.0) as u64;
     }
 
+    /// Refills this snapshot with `source`'s counts on the segments
+    /// `keep` accepts and zero everywhere else, reusing the counts
+    /// buffer: one pass over the map, no allocation once the buffer has
+    /// grown to the map's size. A sharded pipeline masks its city-wide
+    /// capture to each partition this way.
+    pub fn mask_from(&mut self, source: &OccupancySnapshot, keep: impl Fn(SegmentId) -> bool) {
+        self.counts.clear();
+        self.counts
+            .extend(source.counts.iter().enumerate().map(|(s, &c)| {
+                if keep(SegmentId(s as u32)) {
+                    c
+                } else {
+                    0
+                }
+            }));
+        self.total = self.counts.iter().map(|&c| c as u64).sum();
+        self.taken_at_ms = source.taken_at_ms;
+    }
+
     /// A uniform snapshot with `k` users on every segment (useful for
     /// benchmarks that want k-anonymity to depend only on region size).
     pub fn uniform(segments: usize, per_segment: u32) -> Self {
