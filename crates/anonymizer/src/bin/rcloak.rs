@@ -28,8 +28,10 @@
 //! ```
 //!
 //! `batch` reads one `owner,segment` pair per CSV line (blank lines and
-//! `#` comments skipped), fans the requests across the server's worker
-//! pool, and reports one result line per request in input order.
+//! `#` comments skipped), anonymizes them as one batch on `--workers`
+//! threads, and reports one result line per request in input order. The
+//! results do not depend on the worker count: an owner listed twice
+//! gets consecutive chain epochs in row order.
 //! Malformed rows are reported individually on stderr with their line
 //! numbers; the valid rows still run, and the exit code is 1 when any
 //! row was malformed.
@@ -434,7 +436,7 @@ fn cmd_deanonymize(opts: &Opts) -> Result<(), CmdError> {
 }
 
 fn cmd_batch(opts: &Opts) -> Result<(), CmdError> {
-    use anonymizer::{AnonymizerConfig, AnonymizerServer};
+    use anonymizer::{AnonymizerConfig, AnonymizerService};
 
     let net = load_map(opts)?;
     let input = opts
@@ -465,7 +467,6 @@ fn cmd_batch(opts: &Opts) -> Result<(), CmdError> {
         });
     }
 
-    let seed = get_seed(opts);
     let (net, snapshot) = traffic_snapshot(opts, net);
 
     let workers = opts
@@ -473,16 +474,19 @@ fn cmd_batch(opts: &Opts) -> Result<(), CmdError> {
         .map(|s| s.parse().map_err(|_| format!("bad --workers `{s}`")))
         .transpose()?
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
+    // Checked before the mapping: `batch_parallelism: 0` means "all cores".
     if workers == 0 {
         return Err(CmdError::Usage("--workers must be at least 1".into()));
     }
     let config = AnonymizerConfig {
         engine: parse_engine(opts)?,
+        batch_parallelism: workers,
         ..Default::default()
     };
-    let server = AnonymizerServer::start(net, snapshot, config, workers, seed ^ 0xba7c_c10a);
+    let service = AnonymizerService::new(net, config);
+    service.update_snapshot(snapshot);
     let t0 = std::time::Instant::now();
-    let results = server.anonymize_batch(requests.clone());
+    let results = service.anonymize_batch(&requests);
     let elapsed = t0.elapsed();
 
     let mut ok = 0usize;

@@ -37,9 +37,8 @@
 
 use crate::config::{AnonymizerConfig, EngineChoice};
 use cloak::{
-    anonymize_batch_with_scratch, anonymize_with_retry_scratch, AnonymizationOutcome,
-    BatchCloakItem, BatchCloakScratch, CloakError, CloakPayload, CloakScratch, PrivacyProfile,
-    ReversibleEngine, RgeEngine, RpleEngine,
+    anonymize_batch_with_scratch, AnonymizationOutcome, BatchCloakItem, BatchCloakScratch,
+    CloakError, CloakPayload, PrivacyProfile, ReversibleEngine, RgeEngine, RpleEngine,
 };
 use keystream::{
     AccessControlProfile, AccessError, ChainState, ChainStore, JournalError, Key256, KeyManager,
@@ -57,8 +56,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// SplitMix64 finalizer: the shared scrambler behind every derived
-/// request seed (server job seeds, pipeline per-tick seeds). Callers XOR
-/// their inputs into `z`; the finalizer decorrelates nearby inputs.
+/// seed (pipeline per-tick request seeds, partition growth, fault
+/// draws). Callers XOR their inputs into `z`; the finalizer
+/// decorrelates nearby inputs.
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -172,6 +172,11 @@ impl<V> ShardedMap<V> {
         }
     }
 
+    /// Inserts `value`, replacing any previous entry.
+    fn insert(&self, key: String, value: V) {
+        self.shard(&key).write().insert(key, value);
+    }
+
     /// Inserts `value`, merging state from a previous entry under one
     /// shard write lock when the key already exists.
     fn insert_merging(&self, key: String, mut value: V, merge: impl FnOnce(&V, &mut V)) {
@@ -237,10 +242,17 @@ impl<V> ShardedMap<V> {
     }
 }
 
-/// A batch pre-pass entry: the request's `(keys, nonce, epoch)` once its
-/// chain advance was journaled, or the persistence error that withheld
-/// the epoch.
-type KeyedRequest = Result<(KeyManager, u64, u64), CloakError>;
+/// A request after its chain advance (see
+/// [`AnonymizerService::derive_keys`]), borrowing its owner and profile
+/// from the caller (or the profile from the service's default).
+struct KeyedRequest<'a> {
+    owner: &'a str,
+    segment: SegmentId,
+    profile: &'a PrivacyProfile,
+    /// `(keys, nonce, epoch)` once the chain advance was journaled, or
+    /// the persistence error that withheld the epoch.
+    keys: Result<(KeyManager, u64, u64), CloakError>,
+}
 
 /// One anonymization request for [`AnonymizerService::anonymize_batch`].
 ///
@@ -369,7 +381,7 @@ impl AnonymizerService {
             store,
         };
         for (owner, state) in service.store.load()? {
-            service.chains.insert_merging(owner, state, |_, _| {});
+            service.chains.insert(owner, state);
         }
         Ok(service)
     }
@@ -486,20 +498,7 @@ impl AnonymizerService {
         profile: Option<&PrivacyProfile>,
         rng: &mut R,
     ) -> Result<AnonymizeReceipt, CloakError> {
-        let profile = profile.unwrap_or(&self.config.default_profile);
-        let entropy = Key256::generate(rng);
-        let nonce: u64 = rng.gen();
-        let chain = self.advance_chain(owner, entropy)?;
-        let keys = chain.level_keys(profile.level_count());
-        self.anonymize_with_keys(
-            owner,
-            user_segment,
-            profile,
-            keys,
-            nonce,
-            chain.epoch(),
-            &mut CloakScratch::default(),
-        )
+        self.issue_one(&self.derive_keys(owner, user_segment, profile, rng))
     }
 
     /// Like [`anonymize_owner`](Self::anonymize_owner) with the request's
@@ -522,163 +521,83 @@ impl AnonymizerService {
         profile: Option<&PrivacyProfile>,
         seed: u64,
     ) -> Result<AnonymizeReceipt, CloakError> {
-        self.anonymize_seeded_with(owner, user_segment, profile, seed, &mut CloakScratch::new())
-    }
-
-    /// [`anonymize_seeded`](Self::anonymize_seeded) with caller-owned
-    /// scratch buffers — the per-worker pool path: a worker holding one
-    /// [`CloakScratch`] anonymizes request after request with no
-    /// steady-state heap traffic beyond the receipt itself. Results are
-    /// bit-identical for any scratch state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CloakError`] when the requirement cannot be met.
-    pub fn anonymize_seeded_with(
-        &self,
-        owner: &str,
-        user_segment: SegmentId,
-        profile: Option<&PrivacyProfile>,
-        seed: u64,
-        scratch: &mut CloakScratch,
-    ) -> Result<AnonymizeReceipt, CloakError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let profile = profile.unwrap_or(&self.config.default_profile);
-        let entropy = Key256::generate(&mut rng);
-        let nonce: u64 = rng.gen();
-        let chain = self.advance_chain(owner, entropy)?;
-        let keys = chain.level_keys(profile.level_count());
-        self.anonymize_with_keys(
-            owner,
-            user_segment,
-            profile,
-            keys,
-            nonce,
-            chain.epoch(),
-            scratch,
-        )
+        self.anonymize_owner(owner, user_segment, profile, &mut rng)
     }
 
-    /// The shared core: runs the cloak with the given keys and nonce,
-    /// stamps the chain epoch into the payload, and stores the owner
-    /// record.
-    #[allow(clippy::too_many_arguments)]
-    fn anonymize_with_keys(
-        &self,
-        owner: &str,
-        user_segment: SegmentId,
-        profile: &PrivacyProfile,
-        keys: KeyManager,
-        nonce: u64,
-        epoch: u64,
-        scratch: &mut CloakScratch,
-    ) -> Result<AnonymizeReceipt, CloakError> {
-        let key_vec: Vec<Key256> = keys.iter().map(|(_, k)| k).collect();
-        let snapshot = self.snapshot();
-        let (mut outcome, attempts) = anonymize_with_retry_scratch(
-            &self.net,
-            &snapshot,
-            user_segment,
-            profile,
-            &key_vec,
-            nonce,
-            self.engine.as_dyn(),
-            self.config.max_attempts,
-            scratch,
-        )?;
-        outcome.payload.epoch = epoch;
-        // One payload allocation shared by the stored record and the
-        // returned receipt (the record used to deep-clone it twice).
-        let payload = Arc::new(outcome.payload.clone());
-        let record = OwnerRecord {
-            owner: owner.to_string(),
-            payload: Arc::clone(&payload),
-            keys,
-            access: AccessControlProfile::new(),
-        };
-        // Re-anonymizing rotates payload and keys but keeps the owner's
-        // access-control profile, so existing requester grants (and the
-        // requester registry audit view) stay consistent.
-        self.records
-            .insert_merging(owner.to_string(), record, |old, new| {
-                new.access = old.access.clone();
-            });
-        Ok(AnonymizeReceipt {
-            payload,
-            attempts,
-            outcome,
-        })
-    }
-
-    /// The sequential chain pre-pass of a batch: ratchets every request's
-    /// owner chain **in request order** and captures that request's
-    /// `(keys, nonce, epoch)`. Running this before any parallel dispatch
-    /// is what keeps a batch bit-identical to sequential execution — the
-    /// epoch an owner's n-th request gets must not depend on worker
-    /// scheduling. A request whose chain advance could not be journaled
-    /// carries its [`CloakError::Persistence`] instead of keys: it never
+    /// The one key-derivation step every request takes: draws chain
+    /// entropy and then the nonce from `rng`, ratchets the owner's chain
+    /// (journaling the advance) and derives that epoch's level keys. A
+    /// chain advance that could not be journaled yields a
+    /// [`CloakError::Persistence`] instead of keys: such a request never
     /// reaches the cloak core and no receipt is issued for it.
-    fn derive_batch_keys(&self, requests: &[AnonymizeRequest]) -> Vec<KeyedRequest> {
-        requests
-            .iter()
-            .map(|r| {
-                let mut rng = StdRng::seed_from_u64(r.seed);
-                let profile = r.profile.as_ref().unwrap_or(&self.config.default_profile);
-                let entropy = Key256::generate(&mut rng);
-                let nonce: u64 = rng.gen();
-                let chain = self.advance_chain(&r.owner, entropy)?;
-                Ok((
-                    chain.level_keys(profile.level_count()),
-                    nonce,
-                    chain.epoch(),
-                ))
-            })
-            .collect()
+    fn derive_keys<'a, R: Rng + ?Sized>(
+        &'a self,
+        owner: &'a str,
+        segment: SegmentId,
+        profile: Option<&'a PrivacyProfile>,
+        rng: &mut R,
+    ) -> KeyedRequest<'a> {
+        let profile = profile.unwrap_or(&self.config.default_profile);
+        let entropy = Key256::generate(rng);
+        let nonce: u64 = rng.gen();
+        let keys = self.advance_chain(owner, entropy).map(|chain| {
+            (
+                chain.level_keys(profile.level_count()),
+                nonce,
+                chain.epoch(),
+            )
+        });
+        KeyedRequest {
+            owner,
+            segment,
+            profile,
+            keys,
+        }
     }
 
-    /// The owner-batched core behind
-    /// [`anonymize_batch`](Self::anonymize_batch): cloaks a run of
-    /// requests against **one** snapshot handle through
-    /// [`cloak::anonymize_batch_with_scratch`], so the whole run shares
-    /// the region bitset, the transition-table rows/columns, and the
-    /// structure-of-arrays round/hint arenas. `keyed` is the run's slice
-    /// of the [`derive_batch_keys`](Self::derive_batch_keys) pre-pass, so
-    /// receipts are bit-identical to the sequential path.
+    /// Issues the receipt for one keyed request through
+    /// [`anonymize_run_keyed`](Self::anonymize_run_keyed).
+    fn issue_one(&self, keyed: &KeyedRequest<'_>) -> Result<AnonymizeReceipt, CloakError> {
+        self.anonymize_run_keyed(std::slice::from_ref(keyed), &mut BatchCloakScratch::new())
+            .pop()
+            .expect("one request yields one result")
+    }
+
+    /// The one issuing function: cloaks a run of keyed requests against
+    /// **one** snapshot handle through
+    /// [`cloak::anonymize_batch_with_scratch`] (the whole run shares the
+    /// region bitset, the transition-table rows/columns, and the
+    /// structure-of-arrays round/hint arenas), stamps each chain epoch
+    /// into its payload, and stores the owner records. Results keep
+    /// request order.
     fn anonymize_run_keyed(
         &self,
-        requests: &[AnonymizeRequest],
-        keyed: &[KeyedRequest],
+        keyed: &[KeyedRequest<'_>],
         scratch: &mut BatchCloakScratch,
     ) -> Vec<Result<AnonymizeReceipt, CloakError>> {
         let snapshot = self.snapshot();
         // Requests whose chain advance failed to journal never reach the
         // cloak core: their slot is pre-filled with the persistence
         // error, and only the journaled remainder is cloaked.
-        let ok_idx: Vec<usize> = keyed
+        let journaled: Vec<(usize, &KeyedRequest<'_>, &(KeyManager, u64, u64))> = keyed
             .iter()
             .enumerate()
-            .filter_map(|(i, k)| k.is_ok().then_some(i))
+            .filter_map(|(i, r)| r.keys.as_ref().ok().map(|k| (i, r, k)))
             .collect();
-        let key_vecs: Vec<Vec<Key256>> = ok_idx
+        let key_vecs: Vec<Vec<Key256>> = journaled
             .iter()
-            .map(|&i| {
-                let (keys, _, _) = keyed[i].as_ref().expect("ok_idx holds only Ok entries");
-                keys.iter().map(|(_, k)| k).collect()
-            })
+            .map(|(_, _, (keys, _, _))| keys.iter().map(|(_, k)| k).collect())
             .collect();
-        let items: Vec<BatchCloakItem<'_>> = ok_idx
+        let items: Vec<BatchCloakItem<'_>> = journaled
             .iter()
             .zip(&key_vecs)
-            .map(|(&i, kv)| {
-                let r = &requests[i];
-                let &(_, nonce, _) = keyed[i].as_ref().expect("ok_idx holds only Ok entries");
-                BatchCloakItem {
-                    segment: r.segment,
-                    profile: r.profile.as_ref().unwrap_or(&self.config.default_profile),
-                    keys: kv,
-                    nonce,
-                    max_attempts: self.config.max_attempts,
-                }
+            .map(|(&(_, r, &(_, nonce, _)), kv)| BatchCloakItem {
+                segment: r.segment,
+                profile: r.profile,
+                keys: kv,
+                nonce,
+                max_attempts: self.config.max_attempts,
             })
             .collect();
         let outcomes = anonymize_batch_with_scratch(
@@ -691,22 +610,26 @@ impl AnonymizerService {
         drop(items);
         let mut slots: Vec<Option<Result<AnonymizeReceipt, CloakError>>> = keyed
             .iter()
-            .map(|k| k.as_ref().err().cloned().map(Err))
+            .map(|r| r.keys.as_ref().err().cloned().map(Err))
             .collect();
-        for (&i, res) in ok_idx.iter().zip(outcomes) {
-            let r = &requests[i];
-            let (keys, _, epoch) = keyed[i].as_ref().expect("ok_idx holds only Ok entries");
+        for (&(i, r, (keys, _, epoch)), res) in journaled.iter().zip(outcomes) {
             slots[i] = Some(res.map(|(mut outcome, attempts)| {
                 outcome.payload.epoch = *epoch;
+                // One payload allocation shared by the stored record and
+                // the returned receipt.
                 let payload = Arc::new(outcome.payload.clone());
                 let record = OwnerRecord {
-                    owner: r.owner.clone(),
+                    owner: r.owner.to_string(),
                     payload: Arc::clone(&payload),
                     keys: keys.clone(),
                     access: AccessControlProfile::new(),
                 };
+                // Re-anonymizing rotates payload and keys but keeps the
+                // owner's access-control profile, so existing requester
+                // grants (and the requester registry audit view) stay
+                // consistent.
                 self.records
-                    .insert_merging(r.owner.clone(), record, |old, new| {
+                    .insert_merging(r.owner.to_string(), record, |old, new| {
                         new.access = old.access.clone();
                     });
                 AnonymizeReceipt {
@@ -727,7 +650,9 @@ impl AnonymizerService {
     /// are assigned in a sequential pre-pass and every request carries
     /// its own seed — are identical to running
     /// [`anonymize_seeded`](Self::anonymize_seeded) sequentially from the
-    /// same service state.
+    /// same service state, at any parallelism. An owner repeated in the
+    /// batch gets consecutive epochs in request order, and its stored
+    /// record is its last request's receipt.
     ///
     /// Each worker drives its chunks through the owner-batched core
     /// ([`cloak::anonymize_batch_with_scratch`]) with one
@@ -749,10 +674,16 @@ impl AnonymizerService {
         // Chain pre-pass first: epochs are assigned in request order
         // before any worker runs, so batch scheduling can never reorder
         // an owner's ratchet sequence.
-        let keyed = self.derive_batch_keys(requests);
+        let keyed: Vec<KeyedRequest<'_>> = requests
+            .iter()
+            .map(|r| {
+                let mut rng = StdRng::seed_from_u64(r.seed);
+                self.derive_keys(&r.owner, r.segment, r.profile.as_ref(), &mut rng)
+            })
+            .collect();
         if workers <= 1 || requests.len() <= 1 {
             // One scratch serves the whole sequential sweep.
-            return self.anonymize_run_keyed(requests, &keyed, &mut BatchCloakScratch::new());
+            return self.anonymize_run_keyed(&keyed, &mut BatchCloakScratch::new());
         }
         // Chunked work-stealing: a shared cursor hands out runs of
         // requests so threads stay busy even when per-request cost varies
@@ -780,11 +711,7 @@ impl AnonymizerService {
                                 return done;
                             }
                             let end = (start + chunk).min(requests.len());
-                            let run = self.anonymize_run_keyed(
-                                &requests[start..end],
-                                &keyed[start..end],
-                                &mut scratch,
-                            );
+                            let run = self.anonymize_run_keyed(&keyed[start..end], &mut scratch);
                             done.extend(run.into_iter().enumerate().map(|(i, r)| (start + i, r)));
                         }
                     })
@@ -797,10 +724,13 @@ impl AnonymizerService {
             }
         });
         // A batch may repeat an owner; parallel workers then race on the
-        // stored record. Re-run each duplicated owner's last request with
-        // its *precomputed* keys/nonce/epoch (no fresh ratchet — the
+        // stored record. Re-issue each duplicated owner's last request
+        // with its pre-pass keys/nonce/epoch (no fresh ratchet — the
         // chain already advanced in the pre-pass) to pin the stored
-        // record to sequential semantics: last request wins.
+        // record to sequential semantics: last request wins. A last
+        // request whose advance failed to journal keeps its persistence
+        // error; the stored record then reflects some earlier successful
+        // request, which is all a failed tail can promise.
         let mut per_owner: HashMap<&str, (usize, usize)> = HashMap::new();
         for (i, r) in requests.iter().enumerate() {
             let entry = per_owner.entry(&r.owner).or_insert((0, i));
@@ -808,23 +738,8 @@ impl AnonymizerService {
             entry.1 = i;
         }
         for &(count, last) in per_owner.values() {
-            // A last request whose advance failed to journal keeps its
-            // persistence error; the stored record then reflects some
-            // earlier successful request, which is all a failed tail can
-            // promise.
             if count > 1 {
-                if let Ok((keys, nonce, epoch)) = &keyed[last] {
-                    let r = &requests[last];
-                    results[last] = Some(self.anonymize_with_keys(
-                        &r.owner,
-                        r.segment,
-                        r.profile.as_ref().unwrap_or(&self.config.default_profile),
-                        keys.clone(),
-                        *nonce,
-                        *epoch,
-                        &mut CloakScratch::new(),
-                    ));
-                }
+                results[last] = Some(self.issue_one(&keyed[last]));
             }
         }
         results
@@ -882,10 +797,10 @@ impl AnonymizerService {
             record,
         } = handoff;
         if let Some(chain) = chain {
-            self.chains.insert_merging(owner.clone(), chain, |_, _| {});
+            self.chains.insert(owner.clone(), chain);
         }
         if let Some(record) = record {
-            self.records.insert_merging(owner, record, |_, _| {});
+            self.records.insert(owner, record);
         }
     }
 
@@ -1200,6 +1115,9 @@ mod tests {
         let results = s.anonymize_batch(&requests);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(CloakError::UnknownSegment(_))));
+        // A single request issues through the same core and fails alike.
+        let single = s.anonymize_seeded("bad", SegmentId(9999), None, 3);
+        assert!(matches!(single, Err(CloakError::UnknownSegment(_))));
     }
 
     #[test]

@@ -183,11 +183,14 @@ fn cli_rejects_bad_input() {
     let _ = std::fs::remove_file(map);
 }
 
+/// `rcloak batch` over a CSV that repeats an owner: every row succeeds,
+/// results keep input order, and the result file does not depend on the
+/// worker count (the repeated owner gets consecutive chain epochs in row
+/// order at any parallelism).
 #[test]
 fn cli_batch_anonymizes_a_csv_of_requests() {
     let map = tmp("batch.map");
     let input = tmp("batch-requests.csv");
-    let results = tmp("batch-results.csv");
 
     let out = rcloak()
         .args(["map", "--out", map.to_str().unwrap(), "--grid", "8x8"])
@@ -197,10 +200,72 @@ fn cli_batch_anonymizes_a_csv_of_requests() {
 
     std::fs::write(
         &input,
-        "# owner,segment\nalice, 40\nbob,10\ncarol,77\n\ndave,3\n",
+        "# owner,segment\nalice, 40\nbob,10\ncarol,77\n\ndave,3\nalice,12\n",
     )
     .unwrap();
 
+    let mut csvs = Vec::new();
+    for workers in ["1", "4"] {
+        let results = tmp(&format!("batch-results-{workers}.csv"));
+        let out = rcloak()
+            .args([
+                "batch",
+                "--map",
+                map.to_str().unwrap(),
+                "--input",
+                input.to_str().unwrap(),
+                "--workers",
+                workers,
+                "--cars",
+                "300",
+                "--out",
+                results.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("anonymized 5/5 requests"), "{stdout}");
+
+        let csv = std::fs::read_to_string(&results).unwrap();
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines[0], "owner,segment,status,region_size,attempts");
+        assert_eq!(lines.len(), 6);
+        // Input order preserved, every request succeeded on uniform traffic.
+        for (line, owner) in lines[1..]
+            .iter()
+            .zip(["alice", "bob", "carol", "dave", "alice"])
+        {
+            assert!(line.starts_with(&format!("{owner},")), "{line}");
+            assert!(line.contains(",ok,"), "{line}");
+        }
+        let _ = std::fs::remove_file(results);
+        csvs.push(csv);
+    }
+    assert_eq!(
+        csvs[0], csvs[1],
+        "1 and 4 workers must write the same results"
+    );
+
+    for p in [map, input] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// `--workers 0` is a usage error (exit 2), not "all cores".
+#[test]
+fn cli_batch_rejects_zero_workers() {
+    let map = tmp("zero-workers.map");
+    let input = tmp("zero-workers.csv");
+    rcloak()
+        .args(["map", "--out", map.to_str().unwrap(), "--grid", "8x8"])
+        .output()
+        .unwrap();
+    std::fs::write(&input, "alice,40\n").unwrap();
     let out = rcloak()
         .args([
             "batch",
@@ -209,33 +274,14 @@ fn cli_batch_anonymizes_a_csv_of_requests() {
             "--input",
             input.to_str().unwrap(),
             "--workers",
-            "4",
-            "--cars",
-            "300",
-            "--out",
-            results.to_str().unwrap(),
+            "0",
         ])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("anonymized 4/4 requests"), "{stdout}");
-
-    let csv = std::fs::read_to_string(&results).unwrap();
-    let lines: Vec<&str> = csv.lines().collect();
-    assert_eq!(lines[0], "owner,segment,status,region_size,attempts");
-    assert_eq!(lines.len(), 5);
-    // Input order preserved, every request succeeded on uniform traffic.
-    for (line, owner) in lines[1..].iter().zip(["alice", "bob", "carol", "dave"]) {
-        assert!(line.starts_with(&format!("{owner},")), "{line}");
-        assert!(line.contains(",ok,"), "{line}");
-    }
-
-    for p in [map, input, results] {
+    assert_eq!(out.status.code(), Some(2), "usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--workers must be at least 1"), "{stderr}");
+    for p in [map, input] {
         let _ = std::fs::remove_file(p);
     }
 }

@@ -1,12 +1,11 @@
 //! Concurrency contract of the sharded, lock-free anonymizer: many
-//! client threads hammering one `AnonymizerServer` must each get a
-//! receipt that deanonymizes back to exactly the segment they asked to
+//! client threads hammering one shared `AnonymizerService` must each get
+//! a receipt that deanonymizes back to exactly the segment they asked to
 //! cloak, and the batch pipeline must be bit-identical to sequential
-//! execution.
+//! execution at any worker count.
 
 use anonymizer::{
-    AnonymizeRequest, AnonymizerConfig, AnonymizerServer, AnonymizerService, Deanonymizer, Engine,
-    EngineChoice,
+    AnonymizeRequest, AnonymizerConfig, AnonymizerService, Deanonymizer, Engine, EngineChoice,
 };
 use keystream::{Level, TrustDegree};
 use mobisim::OccupancySnapshot;
@@ -16,23 +15,16 @@ use std::sync::Arc;
 const THREADS: usize = 8;
 const REQUESTS_PER_THREAD: usize = 32;
 
-/// ≥ 8 threads × ≥ 32 requests against the server; every receipt must
-/// deanonymize back to its exact segment through the normal key-fetch
-/// path, concurrently with the anonymizations.
+/// ≥ 8 threads × ≥ 32 requests against one shared service; every
+/// receipt must deanonymize back to its exact segment through the normal
+/// key-fetch path, while the other threads anonymize, register, fetch
+/// and reduce.
 #[test]
 fn stress_every_receipt_deanonymizes_to_its_exact_segment() {
     let net = grid_city(10, 10, 100.0);
     let segment_count = net.segment_count() as u32;
-    let snapshot = OccupancySnapshot::uniform(net.segment_count(), 1);
-    let server = Arc::new(AnonymizerServer::start(
-        net,
-        snapshot,
-        AnonymizerConfig::default(),
-        THREADS,
-        0xc0ffee,
-    ));
-
-    let service = server.service();
+    let service = Arc::new(AnonymizerService::new(net, AnonymizerConfig::default()));
+    service.update_snapshot(OccupancySnapshot::uniform(segment_count as usize, 1));
     let dean = Arc::new(Deanonymizer::new(
         service.network_arc(),
         Engine::build(service.network(), service.config().engine),
@@ -40,15 +32,15 @@ fn stress_every_receipt_deanonymizes_to_its_exact_segment() {
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let server = Arc::clone(&server);
+            let service = Arc::clone(&service);
             let dean = Arc::clone(&dean);
             std::thread::spawn(move || {
-                let service = server.service();
                 for i in 0..REQUESTS_PER_THREAD {
                     let owner = format!("owner-{t}-{i}");
                     let segment = SegmentId(((t * 37 + i * 13) as u32) % segment_count);
-                    let receipt = server
-                        .anonymize(&owner, segment, None)
+                    let seed = 0xc0ffee ^ ((t * REQUESTS_PER_THREAD + i) as u64);
+                    let receipt = service
+                        .anonymize_seeded(&owner, segment, None, seed)
                         .unwrap_or_else(|e| panic!("{owner}: {e}"));
                     assert!(receipt.payload.contains(segment), "{owner}");
                     // Full key-management round trip, racing the other
@@ -77,22 +69,24 @@ fn stress_every_receipt_deanonymizes_to_its_exact_segment() {
         service.requester_grants("police").len(),
         THREADS * REQUESTS_PER_THREAD
     );
-    Arc::try_unwrap(server)
-        .unwrap_or_else(|_| panic!("all clients joined"))
-        .shutdown();
 }
 
-/// Seeded property check: for both engines and many seeds,
-/// `anonymize_batch` must produce exactly the receipts that sequential
-/// `anonymize_seeded` calls produce for the same requests.
+/// Seeded property check: for both engines, one and four batch workers,
+/// and many seeds, `anonymize_batch` must produce exactly the receipts
+/// that sequential `anonymize_seeded` calls produce for the same
+/// requests.
 #[test]
 fn batch_is_identical_to_sequential_given_the_same_nonces() {
     for engine in [EngineChoice::Rge, EngineChoice::Rple { t_len: 10 }] {
-        for trial in 0u64..8 {
+        for (batch_parallelism, trial) in [1usize, 4]
+            .into_iter()
+            .flat_map(|p| (0u64..8).map(move |t| (p, t)))
+        {
             let net = grid_city(8, 8, 100.0);
             let segment_count = net.segment_count() as u32;
             let config = AnonymizerConfig {
                 engine,
+                batch_parallelism,
                 ..Default::default()
             };
 
@@ -129,13 +123,18 @@ fn batch_is_identical_to_sequential_given_the_same_nonces() {
                 );
                 match (batch_result, solo) {
                     (Ok(b), Ok(s)) => {
-                        assert_eq!(b.payload, s.payload, "{engine:?} {}", req.owner);
-                        assert_eq!(b.outcome.chain, s.outcome.chain, "{engine:?} {}", req.owner);
-                        assert_eq!(b.attempts, s.attempts, "{engine:?} {}", req.owner);
+                        let ctx = format!("{engine:?} x{batch_parallelism} {}", req.owner);
+                        assert_eq!(b.payload, s.payload, "{ctx}");
+                        let stored = parallel.owner_record(&req.owner).unwrap();
+                        assert_eq!(stored.payload, b.payload, "{ctx}");
+                        assert_eq!(b.outcome.chain, s.outcome.chain, "{ctx}");
+                        assert_eq!(b.attempts, s.attempts, "{ctx}");
                     }
-                    (Err(b), Err(s)) => assert_eq!(b, &s, "{engine:?} {}", req.owner),
+                    (Err(b), Err(s)) => {
+                        assert_eq!(b, &s, "{engine:?} x{batch_parallelism} {}", req.owner)
+                    }
                     (b, s) => panic!(
-                        "{engine:?} {}: batch {b:?} vs sequential {s:?} disagree",
+                        "{engine:?} x{batch_parallelism} {}: batch {b:?} vs sequential {s:?} disagree",
                         req.owner
                     ),
                 }
@@ -144,43 +143,10 @@ fn batch_is_identical_to_sequential_given_the_same_nonces() {
     }
 }
 
-/// The server-side batch must agree with the service-side batch when
-/// seeds are pinned, no matter how many workers serve it.
-#[test]
-fn server_batch_matches_service_batch() {
-    let net = grid_city(8, 8, 100.0);
-    let requests: Vec<AnonymizeRequest> = (0..32)
-        .map(|i| AnonymizeRequest::new(format!("o{i}"), SegmentId(i * 5 % 100), 77_000 + i as u64))
-        .collect();
-
-    let service = AnonymizerService::new(net.clone(), AnonymizerConfig::default());
-    service.update_snapshot(OccupancySnapshot::uniform(net.segment_count(), 1));
-    let expected = service.anonymize_batch(&requests);
-
-    for workers in [1usize, 4] {
-        let server = AnonymizerServer::start(
-            net.clone(),
-            OccupancySnapshot::uniform(net.segment_count(), 1),
-            AnonymizerConfig::default(),
-            workers,
-            9,
-        );
-        let got = server.anonymize_batch(requests.clone());
-        for ((e, g), req) in expected.iter().zip(&got).zip(&requests) {
-            assert_eq!(
-                e.as_ref().unwrap().payload,
-                g.as_ref().unwrap().payload,
-                "{workers} workers, {}",
-                req.owner
-            );
-        }
-        server.shutdown();
-    }
-}
-
-/// A batch repeating the same owner must leave the stored record (and
-/// thus fetch_keys) matching the *last* request in order — sequential
-/// semantics — on both the service and server batch paths.
+/// A batch repeating the same owner must give that owner consecutive
+/// chain epochs in request order and leave the stored record (and thus
+/// fetch_keys) matching the *last* request — sequential semantics — at
+/// any worker count.
 #[test]
 fn duplicated_owner_in_a_batch_stores_the_last_request() {
     let net = grid_city(8, 8, 100.0);
@@ -192,27 +158,30 @@ fn duplicated_owner_in_a_batch_stores_the_last_request() {
     requests.insert(9, AnonymizeRequest::new("dup", SegmentId(30), 222));
     requests.push(AnonymizeRequest::new("dup", SegmentId(55), 333));
 
-    for round in 0..4 {
-        let service = AnonymizerService::new(net.clone(), AnonymizerConfig::default());
-        service.update_snapshot(OccupancySnapshot::uniform(net.segment_count(), 1));
-        let results = service.anonymize_batch(&requests);
-        let last = results.last().unwrap().as_ref().unwrap();
-        let stored = service.owner_record("dup").unwrap();
-        assert_eq!(stored.payload, last.payload, "service round {round}");
-        assert!(stored.payload.contains(SegmentId(55)));
-
-        let server = AnonymizerServer::start(
-            net.clone(),
-            OccupancySnapshot::uniform(net.segment_count(), 1),
-            AnonymizerConfig::default(),
-            4,
-            round,
-        );
-        let results = server.anonymize_batch(requests.clone());
-        let last = results.last().unwrap().as_ref().unwrap();
-        let stored = server.service().owner_record("dup").unwrap();
-        assert_eq!(stored.payload, last.payload, "server round {round}");
-        server.shutdown();
+    for batch_parallelism in [1usize, 4] {
+        // Repeated rounds give the four workers different schedules.
+        for round in 0..4 {
+            let ctx = format!("x{batch_parallelism} round {round}");
+            let config = AnonymizerConfig {
+                batch_parallelism,
+                ..Default::default()
+            };
+            let service = AnonymizerService::new(net.clone(), config);
+            service.update_snapshot(OccupancySnapshot::uniform(net.segment_count(), 1));
+            let results = service.anonymize_batch(&requests);
+            let epochs: Vec<u64> = requests
+                .iter()
+                .zip(&results)
+                .filter(|(r, _)| r.owner == "dup")
+                .map(|(_, res)| res.as_ref().unwrap().payload.epoch)
+                .collect();
+            assert_eq!(epochs, [1, 2, 3], "{ctx}");
+            assert_eq!(service.owner_epoch("dup"), Some(3), "{ctx}");
+            let last = results.last().unwrap().as_ref().unwrap();
+            let stored = service.owner_record("dup").unwrap();
+            assert_eq!(stored.payload, last.payload, "{ctx}");
+            assert!(stored.payload.contains(SegmentId(55)), "{ctx}");
+        }
     }
 }
 

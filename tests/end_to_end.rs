@@ -114,24 +114,33 @@ fn regions_are_connected_at_every_level() {
     }
 }
 
+/// The paper's trusted anonymization server: one shared service serving
+/// owner requests from concurrent client threads, then requesters
+/// recovering each exact segment through the normal key-fetch path.
 #[test]
 fn concurrent_server_end_to_end() {
     let net = roadnet::grid_city(8, 8, 100.0);
     let snapshot = OccupancySnapshot::uniform(net.segment_count(), 1);
-    let server = AnonymizerServer::start(net, snapshot, AnonymizerConfig::default(), 3, 99);
-    let mut receipts = Vec::new();
-    for i in 0..8 {
-        let owner = format!("owner-{i}");
-        let seg = SegmentId(i * 13 % 100);
-        receipts.push((
-            owner.clone(),
-            seg,
-            server.anonymize(&owner, seg, None).unwrap(),
-        ));
-    }
+    let service = AnonymizerService::new(net, AnonymizerConfig::default());
+    service.update_snapshot(snapshot);
+    let receipts: Vec<_> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..8u32)
+            .map(|i| {
+                let service = &service;
+                scope.spawn(move || {
+                    let owner = format!("owner-{i}");
+                    let seg = SegmentId(i * 13 % 100);
+                    let receipt = service
+                        .anonymize_owner(&owner, seg, None, &mut rand::thread_rng())
+                        .unwrap();
+                    (owner, seg, receipt)
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
     // The service is shared lock-free: key management runs concurrently
     // with (and independently of) the anonymize path.
-    let service = server.service();
     for (owner, _, _) in &receipts {
         service.register_requester(owner, "police", TrustDegree(10), Level(0));
     }
@@ -144,7 +153,6 @@ fn concurrent_server_end_to_end() {
         let view = dean.reduce(&receipt.payload, &keys).unwrap();
         assert_eq!(view.segments, vec![*seg]);
     }
-    server.shutdown();
 }
 
 #[test]
